@@ -71,7 +71,7 @@ use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write as IoWrite};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use vantage_core::prelude::*;
@@ -103,14 +103,26 @@ pub(crate) trait WireItem: Sized {
     /// Renders an item back into wire form (used by the smoke client to
     /// derive query texts from a decoded snapshot's own items).
     fn format_wire(&self) -> String;
+    /// Coordinates per item where the encoding fixes them (vectors);
+    /// `None` for items of free shape (words).
+    fn arity(&self) -> Option<usize>;
 }
 
 impl WireItem for Vec<f64> {
     fn parse_wire(text: &str) -> std::result::Result<Self, String> {
-        text.split(',')
+        let v = text
+            .split(',')
             .map(|c| c.trim().parse())
             .collect::<std::result::Result<Vec<f64>, _>>()
-            .map_err(|_| "query must be a comma-separated float vector".to_string())
+            .map_err(|_| "query must be a comma-separated float vector".to_string())?;
+        if v.iter().any(|x| !x.is_finite()) {
+            return Err("vector coordinates must be finite".to_string());
+        }
+        Ok(v)
+    }
+
+    fn arity(&self) -> Option<usize> {
+        Some(self.len())
     }
 
     fn format_wire(&self) -> String {
@@ -135,6 +147,26 @@ impl WireItem for String {
 
     fn format_wire(&self) -> String {
         self.clone()
+    }
+
+    fn arity(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// The arity of an index's items, read off its first item.
+fn leading_arity<T: WireItem>(items: &[T]) -> Option<usize> {
+    items.first().and_then(WireItem::arity)
+}
+
+/// Rejects an item whose arity differs from the `served` index's: the
+/// distance kernels require equal-length vectors.
+fn check_arity<T: WireItem>(item: &T, served: Option<usize>) -> std::result::Result<(), String> {
+    match (item.arity(), served) {
+        (Some(got), Some(want)) if got != want => Err(format!(
+            "vector has {got} coordinates, the index holds {want}-dimensional vectors"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -371,14 +403,15 @@ macro_rules! impl_served_mapped {
 impl_served_mapped!(ServedMappedVp, MappedVpTree);
 impl_served_mapped!(ServedMappedMvp, MappedMvpTree);
 
+/// A decoded generation: the boxed index, the probe sharing its
+/// `Counted` tally, and the arity of its vector items.
+type Decoded<T, M> = (Box<dyn ServedQuery<T>>, Counted<M>, Option<usize>);
+
 /// Decodes a snapshot into a boxed near+far queryable index plus a probe
 /// sharing the index's `Counted` tally.
-fn decode_query_index<T, M>(
-    bytes: &[u8],
-    kind: IndexKind,
-) -> CliResult<(Box<dyn ServedQuery<T>>, Counted<M>)>
+fn decode_query_index<T, M>(bytes: &[u8], kind: IndexKind) -> CliResult<Decoded<T, M>>
 where
-    T: ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     match kind {
@@ -386,36 +419,42 @@ where
             let tree: VpTree<T, Counted<M>> =
                 persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
             let probe = tree.metric().clone();
+            let arity = leading_arity(tree.items());
             Ok((
                 Box::new(ServedSingle {
                     index: tree,
                     probe: probe.clone(),
                 }),
                 probe,
+                arity,
             ))
         }
         IndexKind::MvpTree => {
             let tree: MvpTree<T, Counted<M>> =
                 persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
             let probe = tree.metric().clone();
+            let arity = leading_arity(tree.items());
             Ok((
                 Box::new(ServedSingle {
                     index: tree,
                     probe: probe.clone(),
                 }),
                 probe,
+                arity,
             ))
         }
         IndexKind::Linear => {
             let scan: LinearScan<T, Counted<M>> =
                 persist::decode_linear_scan(bytes).map_err(|e| err(e.to_string()))?;
             let probe = scan.metric().clone();
+            let arity = leading_arity(scan.items());
             Ok((
                 Box::new(ServedSingle {
                     index: scan,
                     probe: probe.clone(),
                 }),
                 probe,
+                arity,
             ))
         }
     }
@@ -435,9 +474,9 @@ fn load_static_index<T, M>(
     shards: usize,
     seed: u64,
     threads: Threads,
-) -> CliResult<(Box<dyn ServedQuery<T>>, Counted<M>)>
+) -> CliResult<Decoded<T, M>>
 where
-    T: ItemCodec + Clone + Send + Sync + 'static,
+    T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
 {
     if shards == 1 {
@@ -448,6 +487,7 @@ where
             let tree: VpTree<T, Counted<M>> =
                 persist::decode_vp_tree(bytes).map_err(|e| err(e.to_string()))?;
             let probe = tree.metric().clone();
+            let arity = leading_arity(tree.items());
             let sharded = ShardedIndex::build(tree.items().to_vec(), shards, threads, |_, part| {
                 VpTree::build(
                     part,
@@ -462,12 +502,14 @@ where
                     probe: probe.clone(),
                 }),
                 probe,
+                arity,
             ))
         }
         IndexKind::MvpTree => {
             let tree: MvpTree<T, Counted<M>> =
                 persist::decode_mvp_tree(bytes).map_err(|e| err(e.to_string()))?;
             let probe = tree.metric().clone();
+            let arity = leading_arity(tree.items());
             let sharded = ShardedIndex::build(tree.items().to_vec(), shards, threads, |_, part| {
                 MvpTree::build(
                     part,
@@ -482,12 +524,14 @@ where
                     probe: probe.clone(),
                 }),
                 probe,
+                arity,
             ))
         }
         IndexKind::Linear => {
             let scan: LinearScan<T, Counted<M>> =
                 persist::decode_linear_scan(bytes).map_err(|e| err(e.to_string()))?;
             let probe = scan.metric().clone();
+            let arity = leading_arity(scan.items());
             let sharded = ShardedIndex::build(scan.items().to_vec(), shards, threads, |_, part| {
                 Ok(LinearScan::new(part, probe.clone()))
             })
@@ -498,6 +542,7 @@ where
                     probe: probe.clone(),
                 }),
                 probe,
+                arity,
             ))
         }
     }
@@ -514,6 +559,8 @@ struct LoadedIndex<T, M> {
     /// mapping), `read` (owned fallback behind the mapped API), or
     /// `decoded` (fully materialized — sharded and linear layouts).
     layout: &'static str,
+    /// Coordinates per vector item (`None` for words or no items).
+    arity: Option<usize>,
 }
 
 /// `RELOAD`'s generation loader, with the sharding/seed policy captured
@@ -532,10 +579,10 @@ fn load_index_typed<T, M, K>(
     threads: Threads,
 ) -> CliResult<LoadedIndex<T, M>>
 where
-    T: ItemCodec + Clone + Send + Sync + 'static + Borrow<K::Item>,
+    T: WireItem + ItemCodec + Clone + Send + Sync + 'static + Borrow<K::Item>,
     M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
     K: persist::FlatItems + Send + Sync + 'static,
-    K::Item: Sync,
+    K::Item: Sync + ToOwned<Owned = T>,
 {
     // O(header): decide the loading route without touching the payload.
     let info = persist::inspect(path).map_err(|e| err(format!("{path}: {e}")))?;
@@ -546,10 +593,15 @@ where
                     .map_err(|e| err(format!("{path}: {e}")))?;
                 let probe = tree.metric().clone();
                 let layout = if tree.is_mapped() { "mmap" } else { "read" };
+                let view = tree.view();
+                let arity = (!view.is_empty())
+                    .then(|| view.item(0).to_owned().arity())
+                    .flatten();
                 return Ok(LoadedIndex {
                     items: tree.len() as u64,
                     structure: structure_label(info.kind),
                     layout,
+                    arity,
                     index: Box::new(ServedMappedVp {
                         tree,
                         probe: probe.clone(),
@@ -562,10 +614,15 @@ where
                     .map_err(|e| err(format!("{path}: {e}")))?;
                 let probe = tree.metric().clone();
                 let layout = if tree.is_mapped() { "mmap" } else { "read" };
+                let view = tree.view();
+                let arity = (!view.is_empty())
+                    .then(|| view.item(0).to_owned().arity())
+                    .flatten();
                 return Ok(LoadedIndex {
                     items: tree.len() as u64,
                     structure: structure_label(info.kind),
                     layout,
+                    arity,
                     index: Box::new(ServedMappedMvp {
                         tree,
                         probe: probe.clone(),
@@ -577,13 +634,15 @@ where
         }
     }
     let bytes = std::fs::read(path).map_err(|e| err(format!("cannot read {path}: {e}")))?;
-    let (index, probe) = load_static_index::<T, M>(&bytes, info.kind, shards, seed, threads)?;
+    let (index, probe, arity) =
+        load_static_index::<T, M>(&bytes, info.kind, shards, seed, threads)?;
     Ok(LoadedIndex {
         index,
         probe,
         items: info.items,
         structure: structure_label(info.kind),
         layout: "decoded",
+        arity,
     })
 }
 
@@ -627,6 +686,8 @@ struct StaticGen<T, M> {
     structure: &'static str,
     /// Data residency of this generation (`mmap`/`read`/`decoded`).
     layout: &'static str,
+    /// Coordinates per vector item; queries of another arity are refused.
+    arity: Option<usize>,
     metrics: Arc<IndexMetrics>,
 }
 
@@ -653,6 +714,9 @@ struct DynamicEngine<T, M> {
     tree: ConcurrentMvpTree<T, Counted<M>>,
     probe: Counted<M>,
     metrics: Arc<IndexMetrics>,
+    /// Coordinates per vector item, fixed by the initial data or, for an
+    /// empty start, by the first `INSERT`; other arities are refused.
+    arity: OnceLock<usize>,
 }
 
 enum Engine<T, M> {
@@ -823,7 +887,7 @@ where
     T: WireItem + ItemCodec + Clone + Send + Sync + 'static + Borrow<K::Item>,
     M: MetricTag + BoundedMetric<T> + BoundedMetric<K::Item> + Clone + Send + Sync + 'static,
     K: persist::FlatItems + Send + Sync + 'static,
-    K::Item: Sync,
+    K::Item: Sync + ToOwned<Owned = T>,
 {
     let registry = MetricsRegistry::new();
     let (shards, seed, threads) = (opts.shards, opts.seed, opts.threads);
@@ -849,6 +913,7 @@ where
             items: loaded.items,
             structure: loaded.structure,
             layout: loaded.layout,
+            arity: loaded.arity,
             metrics,
         }),
         source: Mutex::new(path.to_string()),
@@ -897,6 +962,7 @@ where
     let registry = MetricsRegistry::new();
     let counted = Counted::new(metric);
     let probe = counted.clone();
+    let arity = leading_arity(&items).map_or_else(OnceLock::new, OnceLock::from);
     let build_start = Instant::now();
     let tree =
         ConcurrentMvpTree::with_items(items, counted, mvp_build_params(opts.seed, opts.threads))
@@ -908,6 +974,7 @@ where
         tree,
         probe,
         metrics,
+        arity,
     });
     run_server(engine, registry, metric_name, opts, out)
 }
@@ -1086,11 +1153,14 @@ where
                 origin,
                 rec,
             };
-            Ok(Reply::Line(answer_query(shared, &cmd, &query, trace)))
+            answer_query(shared, &cmd, &query, trace).map(Reply::Line)
         }
         "INSERT" => {
             let engine = dynamic_engine(shared, verb)?;
             let item = T::parse_wire(rest)?;
+            // The first vector ever seen fixes the arity of an empty start.
+            let served = item.arity().map(|got| *engine.arity.get_or_init(|| got));
+            check_arity(&item, served)?;
             let id = engine.tree.insert(item);
             refresh_gauges(shared);
             Ok(Reply::Line(format!(
@@ -1307,7 +1377,7 @@ fn answer_query<T, M>(
     cmd: &QueryCmd,
     query: &T,
     trace: RequestTrace<'_>,
-) -> String
+) -> std::result::Result<String, String>
 where
     T: WireItem + ItemCodec + Clone + Send + Sync + 'static,
     M: MetricTag + BoundedMetric<T> + Clone + Send + Sync + 'static,
@@ -1319,13 +1389,14 @@ where
         mut rec,
     } = trace;
     let sampled = rec.is_some();
-    shared.g_in_flight.add(1);
     let mut profile = None;
     let (generation, results, measured) = match &shared.engine {
         Engine::Static(engine) => {
             // Pin one generation: the query answers wholly against it
             // even if a RELOAD swaps mid-flight.
             let guard = engine.cell.read();
+            check_arity(query, guard.arity)?;
+            shared.g_in_flight.add(1);
             let before = guard.probe.totals();
             let start = Instant::now();
             let results = match rec.as_mut() {
@@ -1342,6 +1413,8 @@ where
             (guard.generation(), results, (start, elapsed, cost))
         }
         Engine::Dynamic(engine) => {
+            check_arity(query, engine.arity.get().copied())?;
+            shared.g_in_flight.add(1);
             let snapshot = engine.tree.read();
             let before = engine.probe.totals();
             let timer = rec.as_mut().map(|r| r.begin());
@@ -1422,7 +1495,7 @@ where
         }
         tracer.ring.push(record);
     }
-    reply
+    Ok(reply)
 }
 
 fn info_line<T, M>(shared: &Shared<T, M>) -> String
@@ -1543,6 +1616,7 @@ where
         items: loaded.items,
         structure: loaded.structure,
         layout: loaded.layout,
+        arity: loaded.arity,
         metrics,
     });
     let drained = retired.wait_drained(DRAIN_TIMEOUT);

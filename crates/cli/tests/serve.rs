@@ -1,8 +1,10 @@
 //! End-to-end tests for `vantage serve`: a real TCP server on an
 //! ephemeral port, concurrent smoke clients issuing queries during live
-//! `RELOAD` swaps, the dynamic ingest mode, and the typed
-//! metric-mismatch errors on every snapshot-loading path.
+//! `RELOAD` swaps, the dynamic ingest mode, the typed metric-mismatch
+//! errors on every snapshot-loading path, and hostile request lines.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use vantage_telemetry::export;
@@ -62,6 +64,27 @@ fn client(addr: &str, cmd: &str) -> String {
     run_ok(&["client", "--addr", addr, "--cmd", cmd])
         .trim_end()
         .to_string()
+}
+
+/// Sends `lines` over one connection and returns one reply per line; a
+/// dropped connection fails the test instead of yielding a reply.
+fn session(addr: &str, lines: &[String]) -> Vec<String> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    lines
+        .iter()
+        .map(|line| {
+            writeln!(writer, "{line}").expect("send request");
+            let mut reply = String::new();
+            let n = reader.read_line(&mut reply).expect("read reply");
+            assert!(n > 0, "connection dropped after `{line}`");
+            reply.trim_end().to_string()
+        })
+        .collect()
 }
 
 #[test]
@@ -307,6 +330,94 @@ fn metric_mismatch_is_a_typed_error_on_every_snapshot_path() {
     run_ok(&["stats", "--index", &snap, "--metric", "l2"]);
 
     for p in [&data, &snap] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+/// Wrong-arity vectors, non-finite coordinates and a k far beyond any
+/// allocation each get a reply on the same connection, and a refused
+/// `INSERT` leaves later reads working — in the dynamic engine and on a
+/// mapped snapshot.
+#[test]
+fn hostile_request_lines_get_replies_and_keep_the_connection() {
+    let data = temp_path("hostile-data.csv");
+    let snap = temp_path("hostile-index.vantage");
+    run_ok(&[
+        "generate", "uniform", "--n", "200", "--dim", "6", "--seed", "5", "--out", &data,
+    ]);
+    run_ok(&[
+        "build",
+        "--data",
+        &data,
+        "--save",
+        &snap,
+        "--structure",
+        "vp",
+    ]);
+    let q = "0.5,0.5,0.5,0.5,0.5,0.5";
+    let huge_k = 1_000_000_000_000u64;
+    for (mode, source) in [("--data", &data), ("--index", &snap)] {
+        let (addr, server) = spawn_server(vec!["serve".into(), mode.into(), source.clone()]);
+        let lines: Vec<String> = vec![
+            "INSERT 0.5,0.5".into(),
+            format!("KNN 3 {q}"),
+            "KNN 3 0.5,0.5".into(),
+            "KNN 3 NaN,0.5,0.5,0.5,0.5,0.5".into(),
+            "INSERT inf,0.5,0.5,0.5,0.5,0.5".into(),
+            "RANGE 0.5 0.5,0.5,0.5,0.5,0.5,0.5,0.5".into(),
+            "KFN 2 0.5".into(),
+            format!("KNN {huge_k} {q}"),
+            format!("KFN {huge_k} {q}"),
+            "PING".into(),
+        ];
+        let replies = session(&addr, &lines);
+        let expect_err = |i: usize| {
+            assert!(
+                replies[i].starts_with("ERR "),
+                "{mode}: `{}` -> {}",
+                lines[i],
+                replies[i]
+            );
+        };
+        expect_err(0);
+        assert!(replies[1].starts_with("OK 3 "), "{mode}: {}", replies[1]);
+        for i in 2..7 {
+            expect_err(i);
+        }
+        assert!(replies[2].contains("6-dimensional"), "{}", replies[2]);
+        assert!(replies[3].contains("finite"), "{}", replies[3]);
+        assert!(replies[7].starts_with("OK 200 "), "{mode}: {}", replies[7]);
+        assert!(replies[8].starts_with("OK 200 "), "{mode}: {}", replies[8]);
+        assert_eq!(replies[9], "OK pong");
+        // The refused INSERT changed nothing: the read before it and the
+        // read after it agree.
+        assert_eq!(client(&addr, &format!("KNN 3 {q}")), replies[1]);
+
+        assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+        server
+            .join()
+            .expect("server thread panicked")
+            .expect("server failed");
+    }
+
+    // An empty start takes its arity from the first INSERT.
+    let empty = temp_path("hostile-empty.csv");
+    std::fs::write(&empty, "").unwrap();
+    let (addr, server) = spawn_server(vec!["serve".into(), "--data".into(), empty.clone()]);
+    let lines: Vec<String> = ["INSERT 1,2,3", "INSERT 1,2", "KNN 1 1,2", "KNN 1 1,2,3"]
+        .map(String::from)
+        .to_vec();
+    let replies = session(&addr, &lines);
+    assert!(replies[0].starts_with("OK id=0 "), "{}", replies[0]);
+    assert!(replies[1].contains("3-dimensional"), "{}", replies[1]);
+    assert!(replies[2].contains("3-dimensional"), "{}", replies[2]);
+    assert_eq!(replies[3], "OK 1 0:0");
+    assert_eq!(client(&addr, "SHUTDOWN"), "OK bye");
+    server
+        .join()
+        .expect("server thread panicked")
+        .expect("server failed");
+    for p in [&data, &snap, &empty] {
         let _ = std::fs::remove_file(p);
     }
 }

@@ -14,6 +14,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use crate::knn::PRESIZE_LIMIT;
 use crate::metric::Metric;
 use crate::query::Neighbor;
 use crate::shard::SharedLowerBound;
@@ -131,7 +132,7 @@ impl KfnCollector {
     pub fn new(k: usize) -> Self {
         KfnCollector {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(k.min(PRESIZE_LIMIT) + 1),
             shared: None,
         }
     }
@@ -144,7 +145,7 @@ impl KfnCollector {
     pub fn with_shared(k: usize, shared: Arc<SharedLowerBound>) -> Self {
         KfnCollector {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(k.min(PRESIZE_LIMIT) + 1),
             shared: Some(shared),
         }
     }

@@ -6,6 +6,12 @@ use std::sync::Arc;
 use crate::query::Neighbor;
 use crate::shard::SharedUpperBound;
 
+/// Largest result size a collector reserves heap space for up front.
+/// Larger requests grow the heap by push as results arrive, so a huge `k`
+/// (say, one off the wire) costs memory in proportion to the neighbors
+/// actually collected, never to `k` itself.
+pub(crate) const PRESIZE_LIMIT: usize = 64;
+
 /// Collects the `k` smallest-distance neighbors seen so far and exposes the
 /// current pruning radius (the k-th best distance).
 ///
@@ -40,7 +46,7 @@ impl KnnCollector {
     pub fn new(k: usize) -> Self {
         KnnCollector {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(k.min(PRESIZE_LIMIT) + 1),
             shared: None,
         }
     }
@@ -53,7 +59,7 @@ impl KnnCollector {
     pub fn with_shared(k: usize, shared: Arc<SharedUpperBound>) -> Self {
         KnnCollector {
             k,
-            heap: BinaryHeap::with_capacity(k.saturating_add(1)),
+            heap: BinaryHeap::with_capacity(k.min(PRESIZE_LIMIT) + 1),
             shared: Some(shared),
         }
     }

@@ -25,8 +25,11 @@
 //! straight out of a memory-mapped snapshot section. All search,
 //! validation and statistics code is written against the view, so the
 //! materialized and zero-copy paths run byte-for-byte the same kernel.
-
-use crate::node::Node;
+//!
+//! Construction writes the owned arena directly, in DFS preorder:
+//! leaves and interior nodes are pushed as the recursion reaches them,
+//! and subtrees built by worker threads in arenas of their own are
+//! appended in child order.
 
 /// Child-slot sentinel for an empty partition; also marks an absent
 /// second vantage point in a leaf head.
@@ -35,21 +38,26 @@ pub const NO_CHILD: u32 = u32::MAX;
 /// Bit 31 of `meta`: set for leaves.
 const LEAF_BIT: u32 = 1 << 31;
 
+/// Words per leaf head in `leaf_heads`.
+const HEAD: usize = 6;
+
 /// Packs a node-class flag and class rank into one `meta` word.
 #[inline]
-fn pack_meta(is_leaf: bool, rank: u32) -> u32 {
-    debug_assert!(rank < LEAF_BIT);
+fn pack_meta(is_leaf: bool, rank: usize) -> u32 {
+    assert!(
+        rank < LEAF_BIT as usize,
+        "node arena exceeds 2^31 - 1 nodes"
+    );
     if is_leaf {
-        rank | LEAF_BIT
+        rank as u32 | LEAF_BIT
     } else {
-        rank
+        rank as u32
     }
 }
 
 /// Owned flat node storage of an mvp-tree. See the module docs for the
 /// layout.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MvpArena {
     pub(crate) m: u32,
     pub(crate) meta: Vec<u32>,
@@ -66,75 +74,148 @@ pub struct MvpArena {
 }
 
 impl MvpArena {
-    /// Packs a built node list (the construction IR) into flat arrays.
+    /// An empty arena of per-vantage-point fanout `m`, ready for
+    /// construction.
+    pub(crate) fn new(m: usize) -> MvpArena {
+        MvpArena::from_raw_arrays(
+            m as u32,
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    /// Appends a leaf with vantage points `vp1`/`vp2` and no entries yet,
+    /// and returns its node id. [`push_leaf_entry`](Self::push_leaf_entry)
+    /// then adds its data points, each carrying `path_len` PATH values.
+    pub(crate) fn push_leaf(&mut self, vp1: u32, vp2: Option<u32>, path_len: usize) -> u32 {
+        let id = self.meta.len() as u32;
+        self.meta
+            .push(pack_meta(true, self.leaf_heads.len() / HEAD));
+        self.leaf_heads.extend_from_slice(&[
+            vp1,
+            vp2.unwrap_or(NO_CHILD),
+            self.ids.len() as u32,
+            0,
+            path_len as u32,
+            self.path.len() as u32,
+        ]);
+        id
+    }
+
+    /// Appends one data point — its id, `D1`/`D2` distances and PATH — to
+    /// the most recently pushed leaf.
+    pub(crate) fn push_leaf_entry(&mut self, id: u32, d1: f64, d2: f64, path: &[f64]) {
+        let head = self.leaf_heads.len() - HEAD;
+        debug_assert_eq!(
+            path.len(),
+            self.leaf_heads[head + 4] as usize,
+            "leaf PATH lengths are uniform"
+        );
+        debug_assert_eq!(
+            (self.leaf_heads[head + 2] + self.leaf_heads[head + 3]) as usize,
+            self.ids.len(),
+            "entries extend the last leaf"
+        );
+        self.leaf_heads[head + 3] += 1;
+        self.ids.push(id);
+        self.d1.push(d1);
+        self.d2.push(d2);
+        self.path.extend_from_slice(path);
+    }
+
+    /// Appends an interior node with every child slot empty and returns
+    /// its node id; [`set_child`](Self::set_child) fills the slots once
+    /// the subtrees exist. `cutoffs2` holds the `m` second-level rows of
+    /// `m − 1` values each, row-major. Reserving the node before
+    /// recursing keeps the arena in DFS preorder (parents precede
+    /// children).
     ///
     /// # Panics
     ///
-    /// Panics if the node shapes do not match `m` or the arena would
-    /// exceed 2³¹ − 1 nodes; construction can produce neither.
-    pub(crate) fn from_nodes(m: usize, nodes: &[Node]) -> MvpArena {
-        assert!(
-            nodes.len() < LEAF_BIT as usize,
-            "node arena exceeds 2^31 - 1 nodes"
-        );
-        let mut arena = MvpArena {
-            m: m as u32,
-            meta: Vec::with_capacity(nodes.len()),
-            vp1: Vec::new(),
-            vp2: Vec::new(),
-            children: Vec::new(),
-            cutoffs1: Vec::new(),
-            cutoffs2: Vec::new(),
-            leaf_heads: Vec::new(),
-            ids: Vec::new(),
-            d1: Vec::new(),
-            d2: Vec::new(),
-            path: Vec::new(),
-        };
-        for node in nodes {
-            match node {
-                Node::Internal {
-                    vp1,
-                    vp2,
-                    cutoffs1,
-                    cutoffs2,
-                    children,
-                } => {
-                    assert_eq!(children.len(), m * m, "child slots match m²");
-                    assert_eq!(cutoffs1.len() + 1, m, "first-level cutoffs match m");
-                    assert_eq!(cutoffs2.len(), m, "one second-level row per group");
-                    arena.meta.push(pack_meta(false, arena.vp1.len() as u32));
-                    arena.vp1.push(*vp1);
-                    arena.vp2.push(*vp2);
-                    arena
-                        .children
-                        .extend(children.iter().map(|c| c.unwrap_or(NO_CHILD)));
-                    arena.cutoffs1.extend_from_slice(cutoffs1);
-                    for row in cutoffs2 {
-                        assert_eq!(row.len() + 1, m, "second-level cutoffs match m");
-                        arena.cutoffs2.extend_from_slice(row);
-                    }
-                }
-                Node::Leaf { vp1, vp2, entries } => {
-                    arena
-                        .meta
-                        .push(pack_meta(true, (arena.leaf_heads.len() / 6) as u32));
-                    arena.leaf_heads.push(*vp1);
-                    arena.leaf_heads.push(vp2.unwrap_or(NO_CHILD));
-                    arena.leaf_heads.push(arena.ids.len() as u32);
-                    arena.leaf_heads.push(entries.len() as u32);
-                    arena.leaf_heads.push(entries.path_len() as u32);
-                    arena.leaf_heads.push(arena.path.len() as u32);
-                    for i in 0..entries.len() {
-                        arena.ids.push(entries.id(i));
-                        arena.d1.push(entries.d1(i));
-                        arena.d2.push(entries.d2(i));
-                        arena.path.extend_from_slice(entries.path(i));
-                    }
-                }
+    /// Panics unless the cutoff shapes match `m`.
+    pub(crate) fn push_internal(
+        &mut self,
+        vp1: u32,
+        vp2: u32,
+        cutoffs1: &[f64],
+        cutoffs2: &[f64],
+    ) -> u32 {
+        let m = self.m as usize;
+        assert_eq!(cutoffs1.len() + 1, m, "first-level cutoffs match m");
+        assert_eq!(cutoffs2.len(), m * (m - 1), "second-level cutoffs match m");
+        let id = self.meta.len() as u32;
+        self.meta.push(pack_meta(false, self.vp1.len()));
+        self.vp1.push(vp1);
+        self.vp2.push(vp2);
+        self.children.resize(self.children.len() + m * m, NO_CHILD);
+        self.cutoffs1.extend_from_slice(cutoffs1);
+        self.cutoffs2.extend_from_slice(cutoffs2);
+        id
+    }
+
+    /// Points child slot `slot` (row-major `i·m + j`) of interior node
+    /// `node` at `child`.
+    pub(crate) fn set_child(&mut self, node: u32, slot: usize, child: u32) {
+        let rank = self.meta[node as usize];
+        debug_assert!(rank & LEAF_BIT == 0, "only interior nodes have children");
+        let m = self.m as usize;
+        self.children[rank as usize * m * m + slot] = child;
+    }
+
+    /// Appends every node of `other` (an arena built independently, e.g.
+    /// by a worker thread) behind this arena's nodes, rebasing child
+    /// links, class ranks and leaf-head column offsets, and returns the
+    /// node-id offset `other`'s nodes were moved by. Appending the
+    /// subtrees of a node in child order reproduces the sequential
+    /// preorder layout exactly.
+    pub(crate) fn append(&mut self, other: MvpArena) -> u32 {
+        debug_assert_eq!(self.m, other.m);
+        let offset = self.meta.len();
+        let (internals, leaves) = (self.vp1.len(), self.leaf_heads.len() / HEAD);
+        let (entry_base, path_base) = (self.ids.len() as u32, self.path.len() as u32);
+        self.meta.extend(other.meta.iter().map(|&meta| {
+            let rank = (meta & !LEAF_BIT) as usize;
+            if meta & LEAF_BIT != 0 {
+                pack_meta(true, leaves + rank)
+            } else {
+                pack_meta(false, internals + rank)
             }
+        }));
+        self.vp1.extend_from_slice(&other.vp1);
+        self.vp2.extend_from_slice(&other.vp2);
+        self.children.extend(other.children.iter().map(|&c| {
+            if c == NO_CHILD {
+                c
+            } else {
+                c + offset as u32
+            }
+        }));
+        self.cutoffs1.extend_from_slice(&other.cutoffs1);
+        self.cutoffs2.extend_from_slice(&other.cutoffs2);
+        for head in other.leaf_heads.chunks_exact(HEAD) {
+            self.leaf_heads.extend_from_slice(&[
+                head[0],
+                head[1],
+                head[2] + entry_base,
+                head[3],
+                head[4],
+                head[5] + path_base,
+            ]);
         }
-        arena
+        self.ids.extend_from_slice(&other.ids);
+        self.d1.extend_from_slice(&other.d1);
+        self.d2.extend_from_slice(&other.d2);
+        self.path.extend_from_slice(&other.path);
+        offset as u32
     }
 
     /// Assembles an arena from raw flat arrays (the snapshot decode
@@ -202,7 +283,7 @@ impl MvpArena {
 
 /// Borrowed flat node storage — over an [`MvpArena`] or directly over
 /// the typed slices of a snapshot section.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MvpArenaView<'a> {
     pub(crate) m: usize,
     pub(crate) meta: &'a [u32],
@@ -218,8 +299,11 @@ pub struct MvpArenaView<'a> {
     pub(crate) path: &'a [f64],
 }
 
-/// One leaf's entry table resolved out of the shared columns — the
-/// borrowed counterpart of the construction-time `LeafEntries`.
+/// One leaf's entry table resolved out of the shared columns: Figure 3's
+/// `D1[·]`/`D2[·]` arrays plus a row-major `PATH` block. Every entry of a
+/// leaf has the same PATH length (all of a leaf's points descend through
+/// the same ancestor vantage points), so entry `i`'s PATH is the slice
+/// `path[i·path_len .. (i+1)·path_len]`.
 #[derive(Debug, Clone, Copy)]
 pub struct LeafEntriesView<'a> {
     ids: &'a [u32],
@@ -379,7 +463,7 @@ impl<'a> MvpArenaView<'a> {
 
     /// Number of leaf nodes.
     pub fn leaf_count(&self) -> usize {
-        self.leaf_heads.len() / 6
+        self.leaf_heads.len() / HEAD
     }
 
     /// The per-node meta words (leaf bit + class rank).
@@ -445,7 +529,7 @@ impl<'a> MvpArenaView<'a> {
         let meta = self.meta[id as usize];
         let rank = (meta & !LEAF_BIT) as usize;
         if meta & LEAF_BIT != 0 {
-            let head = &self.leaf_heads[6 * rank..6 * rank + 6];
+            let head = &self.leaf_heads[HEAD * rank..HEAD * (rank + 1)];
             let start = head[2] as usize;
             let len = head[3] as usize;
             let path_len = head[4] as usize;
@@ -483,36 +567,19 @@ impl<'a> MvpArenaView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::LeafEntries;
 
     fn sample() -> MvpArena {
         // root (internal, m = 2) -> [leaf {vp 1, vp 2, entries 3, 4},
         // leaf {vp 5}] in slots (0,0) and (1,1).
-        let mut entries = LeafEntries::new(2);
-        entries.push(3, 1.0, 2.0, &[0.5, 0.25]);
-        entries.push(4, 3.0, 4.0, &[0.125, 0.0625]);
-        MvpArena::from_nodes(
-            2,
-            &[
-                Node::Internal {
-                    vp1: 0,
-                    vp2: 6,
-                    cutoffs1: vec![1.5],
-                    cutoffs2: vec![vec![2.5], vec![3.5]],
-                    children: vec![Some(1), None, None, Some(2)],
-                },
-                Node::Leaf {
-                    vp1: 1,
-                    vp2: Some(2),
-                    entries,
-                },
-                Node::Leaf {
-                    vp1: 5,
-                    vp2: None,
-                    entries: LeafEntries::new(0),
-                },
-            ],
-        )
+        let mut arena = MvpArena::new(2);
+        let root = arena.push_internal(0, 6, &[1.5], &[2.5, 3.5]);
+        let first = arena.push_leaf(1, Some(2), 2);
+        arena.push_leaf_entry(3, 1.0, 2.0, &[0.5, 0.25]);
+        arena.push_leaf_entry(4, 3.0, 4.0, &[0.125, 0.0625]);
+        arena.set_child(root, 0, first);
+        let second = arena.push_leaf(5, None, 0);
+        arena.set_child(root, 3, second);
+        arena
     }
 
     #[test]
@@ -577,5 +644,31 @@ mod tests {
             }
             MvpNodeView::Internal { .. } => panic!("node 2 is a leaf"),
         }
+    }
+
+    #[test]
+    fn append_rebases_links_ranks_and_columns() {
+        // Appending a separately built subtree must equal building it in
+        // place: the layout the parallel builder relies on.
+        fn subtree(arena: &mut MvpArena) -> u32 {
+            let root = arena.push_internal(7, 8, &[0.5], &[0.75, 1.25]);
+            let leaf = arena.push_leaf(9, Some(10), 1);
+            arena.push_leaf_entry(11, 5.0, 6.0, &[0.375]);
+            arena.set_child(root, 2, leaf);
+            root
+        }
+        let mut in_place = sample();
+        subtree(&mut in_place);
+
+        let mut local = MvpArena::new(2);
+        subtree(&mut local);
+        let mut appended = sample();
+        assert_eq!(appended.append(local), 3);
+        assert_eq!(appended, in_place);
+        assert_eq!(
+            appended.children,
+            vec![1, NO_CHILD, NO_CHILD, 2, NO_CHILD, NO_CHILD, 4, NO_CHILD]
+        );
+        assert_eq!(&appended.leaf_heads[12..], &[9, 10, 2, 1, 1, 4]);
     }
 }

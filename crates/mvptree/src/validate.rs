@@ -481,9 +481,11 @@ fn collect_subtree(view: MvpArenaView<'_>, node: u32, out: &mut Vec<u32>) {
 
 #[cfg(test)]
 mod tests {
+    use crate::arena::{MvpArena, NO_CHILD};
     use crate::params::{MvpParams, SecondVantage};
     use crate::tree::MvpTree;
     use vantage_core::prelude::*;
+    use vantage_core::{Result, VantageError};
 
     #[test]
     fn built_trees_satisfy_invariants() {
@@ -528,5 +530,116 @@ mod tests {
             t.check_invariants().unwrap();
             super::validate_arena(t.arena(), t.root(), t.items().len(), t.params()).unwrap();
         }
+    }
+
+    type Tree = MvpTree<Vec<f64>, Euclidean>;
+
+    fn points(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| vec![f64::from(i as u32 % 23), f64::from(i as u32 % 31)])
+            .collect()
+    }
+
+    fn tree() -> Tree {
+        MvpTree::build(points(300), Euclidean, MvpParams::paper(3, 8, 4).seed(11)).unwrap()
+    }
+
+    /// Reassembles `original` under `params` from a copy of its arena
+    /// after `corrupt` has mutated the raw arrays.
+    fn reassemble(
+        original: &Tree,
+        params: MvpParams,
+        corrupt: impl FnOnce(&mut MvpArena),
+    ) -> Result<Tree> {
+        let mut arena = original.arena.clone();
+        corrupt(&mut arena);
+        MvpTree::from_arena(
+            original.items().to_vec(),
+            Euclidean,
+            params,
+            original.root(),
+            arena,
+        )
+    }
+
+    fn assert_corrupt(result: Result<Tree>) {
+        let err = result.unwrap_err();
+        assert!(matches!(err, VantageError::CorruptSnapshot { .. }), "{err}");
+    }
+
+    #[test]
+    fn arena_round_trip_preserves_answers() {
+        let original = tree();
+        let rebuilt = reassemble(&original, original.params().clone(), |_| {}).unwrap();
+        assert_eq!(rebuilt.arena, original.arena);
+        let q = vec![11.0, 4.0];
+        assert_eq!(original.range(&q, 6.0), rebuilt.range(&q, 6.0));
+        assert_eq!(original.knn(&q, 7), rebuilt.knn(&q, 7));
+        assert_eq!(original.k_farthest(&q, 5), rebuilt.k_farthest(&q, 5));
+        rebuilt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn empty_tree_round_trips() {
+        let original =
+            MvpTree::build(Vec::<Vec<f64>>::new(), Euclidean, MvpParams::default()).unwrap();
+        let rebuilt = reassemble(&original, original.params().clone(), |_| {}).unwrap();
+        assert!(rebuilt.is_empty());
+    }
+
+    #[test]
+    fn missing_item_is_rejected() {
+        let original = tree();
+        let params = original.params().clone();
+        // Drop one entry id but keep its D1/D2 distances: the column
+        // shapes must catch this.
+        assert_corrupt(reassemble(&original, params.clone(), |arena| {
+            arena.ids.pop();
+        }));
+        // Drop the last leaf's last entry from every column: shapes stay
+        // consistent, so the coverage bitmap must catch it.
+        assert_corrupt(reassemble(&original, params, |arena| {
+            let head = arena.leaf_heads.len() - 6;
+            assert!(arena.leaf_heads[head + 3] > 0, "last leaf is populated");
+            arena.leaf_heads[head + 3] -= 1;
+            arena.ids.pop();
+            arena.d1.pop();
+            arena.d2.pop();
+            let path_len = arena.leaf_heads[head + 4] as usize;
+            arena.path.truncate(arena.path.len() - path_len);
+        }));
+    }
+
+    #[test]
+    fn path_buffer_length_mismatch_is_rejected() {
+        let original = tree();
+        assert!(!original.arena.path.is_empty(), "tree has PATH data");
+        assert_corrupt(reassemble(&original, original.params().clone(), |arena| {
+            arena.path.pop();
+        }));
+    }
+
+    #[test]
+    fn oversized_leaf_is_rejected() {
+        let original = tree();
+        // Shrink the declared capacity below an existing leaf's size.
+        let mut params = original.params().clone();
+        params.k = 1;
+        assert_corrupt(reassemble(&original, params, |_| {}));
+    }
+
+    #[test]
+    fn forward_link_violation_is_rejected() {
+        let original = tree();
+        let m = original.params().m;
+        assert_corrupt(reassemble(&original, original.params().clone(), |arena| {
+            // Point some non-root internal node's first live child back
+            // at the root.
+            let child = arena.children[m * m..]
+                .iter_mut()
+                .find(|c| **c != NO_CHILD)
+                .expect("tree has a non-root internal node");
+            *child = 0;
+        }));
     }
 }

@@ -29,7 +29,7 @@
 //! Loading validates everything **before** an index is returned: magic
 //! and version, both checksum layers, every declared length against the
 //! bytes actually present, and finally the full structural invariants of
-//! the decoded tree (`from_parts`). Any failure — truncation, a single
+//! the decoded tree (`validate_arena`). Any failure — truncation, a single
 //! flipped bit, a fabricated length, an unknown enum tag — yields a
 //! typed [`VantageError`], never a panic and never an oversized
 //! allocation. The fault-injection suite in `tests/` drives exactly
@@ -275,7 +275,10 @@ mod tests {
         assert_eq!(info.bytes, written);
 
         let back: VpTree<Vec<f64>, Euclidean> = load_vp_tree(&path).unwrap();
-        assert_eq!(back.to_parts(), tree.to_parts());
+        assert_eq!(
+            (back.arena(), back.root(), back.params()),
+            (tree.arena(), tree.root(), tree.params())
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -20,11 +20,13 @@
 //! search, validation and statistics code is written against the view,
 //! so the materialized and zero-copy paths run byte-for-byte the same
 //! kernel.
+//!
+//! Construction writes the owned arena directly, in DFS preorder:
+//! leaves and interior nodes are pushed as the recursion reaches them,
+//! and subtrees built by worker threads in arenas of their own are
+//! appended in child order.
 
-use crate::node::Node;
-
-/// Child-slot sentinel for an empty partition (`Option<NodeId>::None`
-/// in the old pointer-rich layout).
+/// Child-slot sentinel for an empty partition.
 pub const NO_CHILD: u32 = u32::MAX;
 
 /// Bit 31 of `meta`: set for leaves.
@@ -32,19 +34,21 @@ const LEAF_BIT: u32 = 1 << 31;
 
 /// Packs a node-class flag and class rank into one `meta` word.
 #[inline]
-fn pack_meta(is_leaf: bool, rank: u32) -> u32 {
-    debug_assert!(rank < LEAF_BIT);
+fn pack_meta(is_leaf: bool, rank: usize) -> u32 {
+    assert!(
+        rank < LEAF_BIT as usize,
+        "node arena exceeds 2^31 - 1 nodes"
+    );
     if is_leaf {
-        rank | LEAF_BIT
+        rank as u32 | LEAF_BIT
     } else {
-        rank
+        rank as u32
     }
 }
 
 /// Owned flat node storage of a vp-tree. See the module docs for the
 /// layout.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VpArena {
     pub(crate) order: u32,
     pub(crate) meta: Vec<u32>,
@@ -56,55 +60,89 @@ pub struct VpArena {
 }
 
 impl VpArena {
-    /// Packs a built node list (the construction IR) into flat arrays.
+    /// An empty arena of fanout `order`, ready for construction.
+    pub(crate) fn new(order: usize) -> VpArena {
+        VpArena::from_raw_arrays(
+            order as u32,
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    /// Appends a leaf bucket and returns its node id.
+    pub(crate) fn push_leaf(&mut self, items: &[u32]) -> u32 {
+        let id = self.meta.len() as u32;
+        self.meta.push(pack_meta(true, self.leaf_spans.len() / 2));
+        self.leaf_spans.push(self.leaf_items.len() as u32);
+        self.leaf_spans.push(items.len() as u32);
+        self.leaf_items.extend_from_slice(items);
+        id
+    }
+
+    /// Appends an interior node with every child slot empty and returns
+    /// its node id; [`set_child`](Self::set_child) fills the slots once
+    /// the subtrees exist. Reserving the node before recursing keeps the
+    /// arena in DFS preorder (parents precede children).
     ///
     /// # Panics
     ///
-    /// Panics if the node shapes do not match `order` or the arena would
-    /// exceed 2³¹ − 1 nodes; construction can produce neither.
-    pub(crate) fn from_nodes(order: usize, nodes: &[Node]) -> VpArena {
-        assert!(
-            nodes.len() < LEAF_BIT as usize,
-            "node arena exceeds 2^31 - 1 nodes"
-        );
-        let mut arena = VpArena {
-            order: order as u32,
-            meta: Vec::with_capacity(nodes.len()),
-            vantage: Vec::new(),
-            children: Vec::new(),
-            cutoffs: Vec::new(),
-            leaf_spans: Vec::new(),
-            leaf_items: Vec::new(),
-        };
-        for node in nodes {
-            match node {
-                Node::Internal {
-                    vantage,
-                    cutoffs,
-                    children,
-                } => {
-                    assert_eq!(children.len(), order, "child slots match order");
-                    assert_eq!(cutoffs.len() + 1, order, "cutoffs match order");
-                    arena
-                        .meta
-                        .push(pack_meta(false, arena.vantage.len() as u32));
-                    arena.vantage.push(*vantage);
-                    arena
-                        .children
-                        .extend(children.iter().map(|c| c.unwrap_or(NO_CHILD)));
-                    arena.cutoffs.extend_from_slice(cutoffs);
-                }
-                Node::Leaf { items } => {
-                    arena
-                        .meta
-                        .push(pack_meta(true, (arena.leaf_spans.len() / 2) as u32));
-                    arena.leaf_spans.push(arena.leaf_items.len() as u32);
-                    arena.leaf_spans.push(items.len() as u32);
-                    arena.leaf_items.extend_from_slice(items);
-                }
+    /// Panics unless `cutoffs` holds `order − 1` values.
+    pub(crate) fn push_internal(&mut self, vantage: u32, cutoffs: &[f64]) -> u32 {
+        let order = self.order as usize;
+        assert_eq!(cutoffs.len() + 1, order, "cutoffs match order");
+        let id = self.meta.len() as u32;
+        self.meta.push(pack_meta(false, self.vantage.len()));
+        self.vantage.push(vantage);
+        self.children.resize(self.children.len() + order, NO_CHILD);
+        self.cutoffs.extend_from_slice(cutoffs);
+        id
+    }
+
+    /// Points child slot `slot` of interior node `node` at `child`.
+    pub(crate) fn set_child(&mut self, node: u32, slot: usize, child: u32) {
+        let rank = self.meta[node as usize];
+        debug_assert!(rank & LEAF_BIT == 0, "only interior nodes have children");
+        self.children[rank as usize * self.order as usize + slot] = child;
+    }
+
+    /// Appends every node of `other` (an arena built independently, e.g.
+    /// by a worker thread) behind this arena's nodes, rebasing child
+    /// links, class ranks and bucket offsets, and returns the node-id
+    /// offset `other`'s nodes were moved by. Appending the subtrees of a
+    /// node in child order reproduces the sequential preorder layout
+    /// exactly.
+    pub(crate) fn append(&mut self, other: VpArena) -> u32 {
+        debug_assert_eq!(self.order, other.order);
+        let offset = self.meta.len();
+        let (internals, leaves) = (self.vantage.len(), self.leaf_spans.len() / 2);
+        let bucket_base = self.leaf_items.len() as u32;
+        self.meta.extend(other.meta.iter().map(|&meta| {
+            let rank = (meta & !LEAF_BIT) as usize;
+            if meta & LEAF_BIT != 0 {
+                pack_meta(true, leaves + rank)
+            } else {
+                pack_meta(false, internals + rank)
             }
+        }));
+        self.vantage.extend_from_slice(&other.vantage);
+        self.children.extend(other.children.iter().map(|&c| {
+            if c == NO_CHILD {
+                c
+            } else {
+                c + offset as u32
+            }
+        }));
+        self.cutoffs.extend_from_slice(&other.cutoffs);
+        for span in other.leaf_spans.chunks_exact(2) {
+            self.leaf_spans.push(span[0] + bucket_base);
+            self.leaf_spans.push(span[1]);
         }
-        arena
+        self.leaf_items.extend_from_slice(&other.leaf_items);
+        offset as u32
     }
 
     /// Assembles an arena from raw flat arrays (the snapshot decode
@@ -157,7 +195,7 @@ impl VpArena {
 
 /// Borrowed flat node storage — over a [`VpArena`] or directly over the
 /// typed slices of a snapshot section.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VpArenaView<'a> {
     pub(crate) order: usize,
     pub(crate) meta: &'a [u32],
@@ -302,18 +340,13 @@ mod tests {
 
     fn sample() -> VpArena {
         // root (internal, order 2) -> [leaf {1,2}, leaf {3}]
-        VpArena::from_nodes(
-            2,
-            &[
-                Node::Internal {
-                    vantage: 0,
-                    cutoffs: vec![1.5],
-                    children: vec![Some(1), Some(2)],
-                },
-                Node::Leaf { items: vec![1, 2] },
-                Node::Leaf { items: vec![3] },
-            ],
-        )
+        let mut arena = VpArena::new(2);
+        let root = arena.push_internal(0, &[1.5]);
+        let left = arena.push_leaf(&[1, 2]);
+        arena.set_child(root, 0, left);
+        let right = arena.push_leaf(&[3]);
+        arena.set_child(root, 1, right);
+        arena
     }
 
     #[test]
@@ -352,17 +385,30 @@ mod tests {
 
     #[test]
     fn empty_partitions_are_no_child() {
-        let arena = VpArena::from_nodes(
-            2,
-            &[
-                Node::Internal {
-                    vantage: 0,
-                    cutoffs: vec![0.5],
-                    children: vec![None, Some(1)],
-                },
-                Node::Leaf { items: vec![1] },
-            ],
-        );
+        let mut arena = VpArena::new(2);
+        let root = arena.push_internal(0, &[0.5]);
+        let leaf = arena.push_leaf(&[1]);
+        arena.set_child(root, 1, leaf);
         assert_eq!(arena.children, vec![NO_CHILD, 1]);
+    }
+
+    #[test]
+    fn append_rebases_links_ranks_and_buckets() {
+        // Appending a separately built subtree must equal building it in
+        // place: the layout the parallel builder relies on.
+        let mut in_place = sample();
+        let sub = in_place.push_internal(4, &[2.5]);
+        let leaf = in_place.push_leaf(&[5, 6]);
+        in_place.set_child(sub, 1, leaf);
+
+        let mut local = VpArena::new(2);
+        let local_root = local.push_internal(4, &[2.5]);
+        let local_leaf = local.push_leaf(&[5, 6]);
+        local.set_child(local_root, 1, local_leaf);
+        let mut appended = sample();
+        assert_eq!(appended.append(local), 3);
+        assert_eq!(appended, in_place);
+        assert_eq!(appended.children, vec![1, 2, NO_CHILD, 4]);
+        assert_eq!(appended.leaf_spans, vec![0, 2, 2, 1, 3, 2]);
     }
 }

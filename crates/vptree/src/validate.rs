@@ -344,10 +344,12 @@ fn collect_subtree(view: VpArenaView<'_>, node: u32, out: &mut Vec<u32>) {
 
 #[cfg(test)]
 mod tests {
+    use crate::arena::{VpArena, NO_CHILD};
     use crate::params::VpTreeParams;
     use crate::tree::VpTree;
     use vantage_core::prelude::*;
     use vantage_core::select::VantageSelector;
+    use vantage_core::{Result, VantageError};
 
     #[test]
     fn built_trees_satisfy_invariants() {
@@ -400,5 +402,115 @@ mod tests {
         let t = VpTree::build(Vec::<Vec<f64>>::new(), Euclidean, VpTreeParams::binary()).unwrap();
         t.check_invariants().unwrap();
         super::validate_arena(t.arena(), t.root(), 0, t.params()).unwrap();
+    }
+
+    fn points(n: usize) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| vec![i as f64, (i * 7 % 13) as f64])
+            .collect()
+    }
+
+    fn tree() -> VpTree<Vec<f64>, Euclidean> {
+        VpTree::build(
+            points(120),
+            Euclidean,
+            VpTreeParams::with_order(3).leaf_capacity(4).seed(7),
+        )
+        .unwrap()
+    }
+
+    /// Reassembles `original` from a copy of its arena after `corrupt`
+    /// has mutated the raw arrays.
+    fn reassemble(
+        original: &VpTree<Vec<f64>, Euclidean>,
+        corrupt: impl FnOnce(&mut VpArena),
+    ) -> Result<VpTree<Vec<f64>, Euclidean>> {
+        let mut arena = original.arena.clone();
+        corrupt(&mut arena);
+        VpTree::from_arena(
+            original.items().to_vec(),
+            Euclidean,
+            original.params().clone(),
+            original.root(),
+            arena,
+        )
+    }
+
+    fn assert_corrupt(result: Result<VpTree<Vec<f64>, Euclidean>>) {
+        let err = result.unwrap_err();
+        assert!(matches!(err, VantageError::CorruptSnapshot { .. }), "{err}");
+    }
+
+    #[test]
+    fn arena_round_trip_preserves_answers() {
+        let original = tree();
+        let rebuilt = reassemble(&original, |_| {}).unwrap();
+        assert_eq!(rebuilt.arena, original.arena);
+        let q = vec![17.0, 3.0];
+        assert_eq!(original.range(&q, 5.0), rebuilt.range(&q, 5.0));
+        assert_eq!(original.knn(&q, 9), rebuilt.knn(&q, 9));
+        rebuilt.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn empty_tree_round_trips() {
+        let original =
+            VpTree::build(Vec::<Vec<f64>>::new(), Euclidean, VpTreeParams::binary()).unwrap();
+        let rebuilt = reassemble(&original, |_| {}).unwrap();
+        assert!(rebuilt.is_empty());
+    }
+
+    #[test]
+    fn out_of_range_item_id_is_rejected() {
+        let original = tree();
+        // Fewer items than the arena references.
+        assert_corrupt(VpTree::from_arena(
+            points(10),
+            Euclidean,
+            original.params().clone(),
+            original.root(),
+            original.arena.clone(),
+        ));
+    }
+
+    #[test]
+    fn backward_child_link_is_rejected() {
+        let original = tree();
+        let order = original.params().order;
+        assert_corrupt(reassemble(&original, |arena| {
+            // Point some non-root internal node's first live child back
+            // at the root.
+            let child = arena.children[order..]
+                .iter_mut()
+                .find(|c| **c != NO_CHILD)
+                .expect("tree has a non-root internal node");
+            *child = 0;
+        }));
+    }
+
+    #[test]
+    fn duplicated_item_is_rejected() {
+        let original = tree();
+        assert_corrupt(reassemble(&original, |arena| {
+            let span = arena
+                .leaf_spans
+                .chunks_exact(2)
+                .find(|span| span[1] >= 2)
+                .expect("tree has a multi-item leaf");
+            let start = span[0] as usize;
+            arena.leaf_items[start] = arena.leaf_items[start + 1];
+        }));
+    }
+
+    #[test]
+    fn unsorted_cutoffs_are_rejected() {
+        let original = tree();
+        let order = original.params().order;
+        assert!(
+            !original.arena().is_leaf(0),
+            "root of a 120-item tree is internal"
+        );
+        // Reversing sorted cutoffs breaks ordering unless all were equal.
+        assert!(reassemble(&original, |arena| arena.cutoffs[..order - 1].reverse()).is_err());
     }
 }

@@ -260,3 +260,31 @@ fn traced_searches_agree_on_degenerate_inputs_too() {
         }
     }
 }
+
+#[test]
+fn huge_k_returns_every_item_without_reserving_k_slots() {
+    // A k far past any addressable allocation must behave like k = n:
+    // collectors may not pre-size their heaps from k.
+    fn check<I: MetricIndex<Vec<f64>> + FarthestIndex<Vec<f64>>>(name: &str, index: &I) {
+        const HUGE_K: usize = 1_000_000_000_000;
+        let all: Vec<usize> = (0..index.len()).collect();
+        for q in queries() {
+            assert_eq!(sorted_ids(index.knn(&q, HUGE_K)), all, "{name} knn");
+            assert_eq!(
+                sorted_ids(index.k_farthest(&q, HUGE_K)),
+                all,
+                "{name} k_farthest"
+            );
+        }
+    }
+    let points = datasets().pop().unwrap().1;
+    check("linear", &LinearScan::new(points.clone(), Euclidean));
+    check(
+        "vpt(2)",
+        &VpTree::build(points.clone(), Euclidean, VpTreeParams::binary().seed(3)).unwrap(),
+    );
+    check(
+        "mvpt(3,8,5)",
+        &MvpTree::build(points, Euclidean, MvpParams::paper(3, 8, 5).seed(5)).unwrap(),
+    );
+}
